@@ -1,7 +1,7 @@
 """Table I bench: quantization quality and quantizer throughput.
 
 Regenerates the Table I proxies (weight SQNR + student accuracy; see
-DESIGN.md for the BLEU substitution) and times the two BCQ solvers on a
+``repro.train`` for the BLEU substitution) and times the two BCQ solvers on a
 Transformer-base-sized attention matrix.
 """
 

@@ -5,7 +5,7 @@ Runs in under a minute::
     python examples/nmt_decode.py
 
 The paper's Table I workload is an En-De NMT Transformer.  Trained
-checkpoints are not reproducible offline (see DESIGN.md S2), but the
+checkpoints are not reproducible offline (see ``repro.train``), but the
 *system* is: this example assembles the complete translation inference
 path -- encoder, causal decoder, generator -- with every projection
 running on BiQGEMM, and compares the token streams and next-token

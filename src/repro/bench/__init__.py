@@ -4,7 +4,7 @@
 - :mod:`repro.bench.runner` -- timing helpers (median-of-k wall clock);
 - :mod:`repro.bench.registry` -- one function per paper artifact
   (``table1``, ``table2``, ``table3``, ``table4``, ``fig8``, ``fig9``,
-  ``fig10``) plus the ablations DESIGN.md calls out (``mu``,
+  ``fig10``) plus the ablations (``mu``,
   ``lut_build``, ``tiling``, ``threads``);
 - :mod:`repro.bench.cli` -- ``python -m repro.bench <experiment>``.
 

@@ -1,8 +1,8 @@
-"""One function per paper table/figure, plus the DESIGN.md ablations.
+"""One function per paper table/figure, plus ablations.
 
 Each experiment returns a list of :class:`~repro.bench.report.Table`.
 ``quick=True`` shrinks sweeps for CI-speed runs; the full settings match
-the paper's parameter grids (see DESIGN.md Section 4 for the index).
+the paper's parameter grids (:data:`EXPERIMENTS` is the index).
 
 Two kinds of numbers appear side by side:
 
@@ -86,7 +86,7 @@ def table1(quick: bool = False) -> list[Table]:
         "post-training weight quantization",
         ["scheme", "bits", "accuracy", "drop"],
         notes=[
-            "substitute for BLEU on a numpy-trainable task (DESIGN.md S2)",
+            "substitute for BLEU on a numpy-trainable task (see repro.train)",
             "expected shape: >=3-bit BCQ near-lossless, 1-bit collapses",
         ],
     )
@@ -1825,7 +1825,7 @@ EXPERIMENTS: dict[str, Callable[[bool], list[Table]]] = {
     "obs_overhead": obs_overhead_experiment,
     "decode": decode_experiment,
 }
-"""Experiment id -> callable (see DESIGN.md Section 4 for the mapping)."""
+"""Experiment id -> callable: the index ``python -m repro.bench`` runs."""
 
 
 def run_experiment(name: str, *, quick: bool = False) -> list[Table]:

@@ -22,12 +22,14 @@ the property the paper highlights in Section III-B.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 from typing import Literal
 
 import numpy as np
 
 from repro._util import check_matmul_out, check_positive_int
+from repro.core import native
 from repro.core.keys import KeyMatrix, decode_keys, encode_keys
 from repro.core.lut import build_tables_dp, build_tables_gemm, reshape_input
 from repro.core.profiling import PhaseProfiler
@@ -96,6 +98,8 @@ class BiQGemm:
             raise ValueError("alphas contain NaN or Inf")
         self._alphas = alphas
         self._keys_intp: np.ndarray | None = None
+        self._native_cache: dict[str, native.NativeWeights] = {}
+        self._tiles_cache: dict[str, TileConfig] = {}
         self._keys_gT: np.ndarray | None = None
         self._alphas_cache: dict[str, np.ndarray] = {}
         self._offsets_cache: dict[int, np.ndarray] = {}
@@ -134,9 +138,26 @@ class BiQGemm:
         key = np.dtype(dtype).str
         cached = self._alphas_cache.get(key)
         if cached is None:
-            cached = self._alphas.astype(dtype, copy=False)
+            cached = np.ascontiguousarray(self._alphas, dtype=dtype)
             self._alphas_cache[key] = cached
         return cached
+
+    def _native_weights(self, kern: native.NativeKernel) -> native.NativeWeights:
+        """Keys and scales bound for *kern*, cached per dtype.  The keys
+        are the key matrix itself unless it is a strided view, so
+        read-only shared-memory keys are read in place (benign
+        idempotent race under threads)."""
+        key = kern.dtype.str
+        bound = self._native_cache.get(key)
+        if bound is None:
+            bound = native.NativeWeights(
+                np.ascontiguousarray(self._keys.keys),
+                self._alphas_for(kern.dtype),
+                self.mu,
+                kern.dtype,
+            )
+            self._native_cache[key] = bound
+        return bound
 
     def _flat_offsets(self, tile_g: int) -> np.ndarray:
         """``(1, tile_g)`` table base offsets for the flat gather, cached
@@ -290,6 +311,22 @@ class BiQGemm:
             "lookups": self._keys.m * g * batch * self.bits,
         }
 
+    def invariant_tiles(self, dtype) -> TileConfig:
+        """The batch-independent tile schedule of batch-invariant mode
+        (tiles picked at the reference batch for *dtype*'s itemsize),
+        cached per dtype."""
+        key = np.dtype(dtype).str
+        tiles = self._tiles_cache.get(key)
+        if tiles is None:
+            tiles = self._tiles_cache[key] = choose_tiles(
+                self._keys.m,
+                self._keys.groups,
+                self.mu,
+                self._INVARIANT_TILE_BATCH,
+                itemsize=np.dtype(dtype).itemsize,
+            )
+        return tiles
+
     def trace_plan(self, dtype) -> dict:
         """Build-time specialization plan for one activation dtype.
 
@@ -320,13 +357,7 @@ class BiQGemm:
         dtype = np.dtype(dtype)
         m, _ = self.shape
         groups = self._keys.groups
-        tiles = choose_tiles(
-            m,
-            groups,
-            self.mu,
-            self._INVARIANT_TILE_BATCH,
-            itemsize=dtype.itemsize,
-        )
+        tiles = self.invariant_tiles(dtype)
         alphas = self._alphas_for(dtype)
         pre = self._flat_idx(tiles.tile_g)
         group_tiles: list[tuple] = []
@@ -441,11 +472,12 @@ class BiQGemm:
         # and hence every output column, is identical whether a request
         # runs alone or coalesced into a micro-batch.
         if tiles is None:
-            tile_batch = (
-                self._INVARIANT_TILE_BATCH if self.batch_invariant else batch
-            )
-            tiles = choose_tiles(
-                m, groups, self.mu, tile_batch, itemsize=dtype.itemsize
+            tiles = (
+                self.invariant_tiles(dtype)
+                if self.batch_invariant
+                else choose_tiles(
+                    m, groups, self.mu, batch, itemsize=dtype.itemsize
+                )
             )
         if self.batch_invariant and query_impl == "auto":
             query_impl = "loop"
@@ -465,9 +497,31 @@ class BiQGemm:
             y = np.zeros((m, batch), dtype=dtype)
         alphas = self._alphas_for(dtype)
         keys = self._keys.keys
+        # The native kernel runs exactly the batch-invariant DP build and
+        # loop query (see repro.core.native); any other knob, a strided
+        # destination, or a missing compiler keeps numpy.
+        kern = None
+        if (
+            self.batch_invariant
+            and threads == 1
+            and builder == "dp"
+            and query_impl == "loop"
+            and y.flags.c_contiguous
+        ):
+            kern = native.kernel_for(dtype, self.mu)
 
         try:
-            if threads == 1:
+            if kern is not None:
+                self._run_native(
+                    kern,
+                    y,
+                    xhat,
+                    tiles.tile_g,
+                    lambda shape: scratch.get("lut.tables", shape, dtype),
+                    lambda shape: scratch.get("q.acc", shape, dtype),
+                    profiler,
+                )
+            elif threads == 1:
                 self._run_tiles(
                     y,
                     xhat,
@@ -619,6 +673,52 @@ class BiQGemm:
                     scratch,
                     tile_width=tiles.tile_g,
                 )
+
+    def _run_native(
+        self,
+        kern: native.NativeKernel,
+        y: np.ndarray,
+        xhat: np.ndarray,
+        tile_g: int,
+        tables_for,
+        acc_for,
+        profiler: PhaseProfiler | None = None,
+    ) -> None:
+        """The batch-invariant build + loop query through the C kernel.
+
+        Walks the same group tiles as :meth:`_run_tiles` (row tiles do
+        not change any element's operations, so one C call covers all
+        rows of a group tile).  ``tables_for(shape)`` and
+        ``acc_for(shape)`` yield the table and accumulator scratch.  *y*
+        must be zeroed by the caller.  The profiler's build and query
+        phases time the C calls; for more than
+        :data:`~repro.core.native.SMALL_BATCH` columns one call does
+        both, timing its build internally.
+        """
+        groups, _, b = xhat.shape
+        weights = self._native_weights(kern)
+        if b > native.SMALL_BATCH:
+            acc = acc_for(kern.acc_shape(self.bits, y.shape[0], b))
+            tables = tables_for((kern.scratch_size,))
+            for g0 in range(0, groups, tile_g):
+                g_sl = slice(g0, min(g0 + tile_g, groups))
+                start = time.perf_counter()
+                build_s = kern.wide(
+                    xhat[g_sl], weights, g0, y, acc, tables,
+                    timed=profiler is not None,
+                )
+                if profiler is not None:
+                    total = time.perf_counter() - start
+                    profiler.add("build", build_s)
+                    profiler.add("query", total - build_s)
+            return
+        for g0 in range(0, groups, tile_g):
+            g_sl = slice(g0, min(g0 + tile_g, groups))
+            with _phase(profiler, "build"):
+                tables = tables_for((g_sl.stop - g0, 1 << self.mu, b))
+                kern.build(xhat[g_sl], tables)
+            with _phase(profiler, "query"):
+                kern.query(tables, weights, g0, y)
 
     def _query_tile(
         self,

@@ -8,12 +8,17 @@ known ahead of the first call for a planned layer.  This module
 resolves them **once**, at specialization time, into a closed-over
 straight-line *trace* per ``(dtype, batch)``:
 
-- the batch-invariant tile schedule and per-tile contiguous gather
-  indices come from :meth:`BiQGemm.trace_plan` (shared, immutable);
+- the batch-invariant tile schedule is fixed per dtype, and the query
+  runs in the native C kernel of :mod:`repro.core.native` when one is
+  available (the same kernel the batch-invariant :class:`BiQGemm`
+  uses);
 - all runtime buffers (padded input, tables, gathers, accumulators,
-  output) are resident on the trace, so steady-state calls allocate
-  nothing;
-- the gather layout is specialized to the batch: GEMV-like batches
+  output) stay resident -- tables, accumulators and output in one
+  engine-wide pool shared by its traces -- so steady-state calls
+  allocate nothing;
+- without the native kernel, the per-tile contiguous gather indices
+  come from :meth:`BiQGemm.trace_plan` (shared, immutable) and the
+  gather layout is specialized to the batch: GEMV-like batches
   (``<= 2``) gather each tile in one **group-major** flat take so the
   sequential group fold runs over contiguous slices (measured ~2x over
   the generic strided fold); wider batches keep the cache-friendly
@@ -41,12 +46,14 @@ following activation is fusible.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Mapping
 
 import numpy as np
 
 from repro._util import check_matmul_out
+from repro.core import native
 from repro.core.kernel import BiQGemm
 from repro.core.lut import build_tables_dp, reshape_plan
 from repro.engine.base import EngineBuildRequest
@@ -79,32 +86,33 @@ bound.
 
 
 class _Trace:
-    """One ``(dtype, batch)`` specialization: plan slices + buffers.
+    """One ``(dtype, batch)`` specialization: schedule + buffers.
 
-    Holds *views* into the engine-wide :meth:`BiQGemm.trace_plan`
-    (immutable, shared across traces) and owns the resident runtime
-    buffers sized for this exact batch.  ``run`` is the straight-line
-    kernel: no shape checks, no dispatch, no allocation.
+    ``run`` is the straight-line kernel: no shape checks, no dispatch,
+    no allocation once the engine's buffers have grown to this batch.
+    Tables, accumulators and the output come from the engine-wide pool
+    (:meth:`CompiledKernelEngine._pooled`): one trace runs at a time,
+    so every trace of an engine shares one set sized for the widest
+    batch.  The query runs in the native C kernel
+    (:mod:`repro.core.native`) when one is available for the dtype;
+    otherwise it replays the numpy plan of :meth:`BiQGemm.trace_plan`
+    (immutable views, shared across traces), fetched on first use.
     """
 
     __slots__ = (
         "engine",
         "dtype",
         "batch",
-        "group_tiles",
-        "keys_by_group",
-        "flat_gather",
+        "tile_g",
         "two_mu",
         "bits",
         "n",
         "padded",
         "groups",
         "mu",
-        "tables",
-        "gath",
-        "acc",
-        "y",
+        "m",
         "_xhat",
+        "_numpy_bufs",
     )
 
     # GEMV-like batches gather each (row, group) tile in one flat
@@ -119,52 +127,28 @@ class _Trace:
         self.engine = engine
         self.dtype = np.dtype(dtype)
         self.batch = int(batch)
-        plan = engine._plan_for(self.dtype)
-        self.group_tiles = plan["group_tiles"]
-        self.keys_by_group = plan["keys_by_group"]
-        self.flat_gather = self.batch <= self._FLAT_GATHER_MAX_BATCH
+        self.tile_g = inner.invariant_tiles(self.dtype).tile_g
         self.two_mu = 1 << inner.mu
         self.bits = inner.bits
         self.mu = inner.mu
-        m, n = inner.shape
-        rp = reshape_plan(n, inner.mu)
-        self.n = n
+        self.m, self.n = inner.shape
+        rp = reshape_plan(self.n, inner.mu)
         self.groups = rp["groups"]
         self.padded = rp["padded"]
-        b = self.batch
-        # One table buffer per distinct group-tile width (full tile plus
-        # a possible remainder): the LUT-stationary schedule never needs
-        # two alive at once, but the two widths need their own shapes.
-        self.tables = {
-            g_len: np.empty((g_len, self.two_mu, b), self.dtype)
-            for _, g_len, _ in self.group_tiles
-        }
-        self.gath = {}
-        self.acc = {}
-        for _, g_len, row_tiles in self.group_tiles:
-            for _, rows, _, _ in row_tiles:
-                gkey = (g_len, rows) if self.flat_gather else rows
-                if gkey not in self.gath:
-                    shape = (
-                        (g_len, rows, b) if self.flat_gather else (rows, b)
-                    )
-                    self.gath[gkey] = np.empty(shape, self.dtype)
-                if rows not in self.acc:
-                    self.acc[rows] = np.empty((rows, b), self.dtype)
-        self.y = np.empty((m, b), self.dtype)
-        # Padded-input buffer, built lazily: aligned contiguous inputs
-        # reshape to Xhat as a zero-copy view and never need it.
+        # Built lazily: the padded input (aligned contiguous inputs
+        # reshape to Xhat as a zero-copy view and never need it) and the
+        # numpy query's gathers.
         self._xhat: np.ndarray | None = None
+        self._numpy_bufs: tuple | None = None
 
     @property
     def nbytes(self) -> int:
-        total = self.y.nbytes
-        total += sum(a.nbytes for a in self.tables.values())
-        total += sum(a.nbytes for a in self.gath.values())
-        total += sum(a.nbytes for a in self.acc.values())
-        if self._xhat is not None:
-            total += self._xhat.nbytes
-        return total
+        """Bytes this trace owns (the engine pool is counted apart)."""
+        arrays = [self._xhat]
+        if self._numpy_bufs is not None:
+            _, gath, acc = self._numpy_bufs
+            arrays += list(gath.values()) + list(acc.values())
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def _xhat_for(self, arr: np.ndarray) -> np.ndarray:
         """Resident Xhat copy for inputs the view path can't serve.
@@ -183,6 +167,12 @@ class _Trace:
         flat[: self.n] = arr
         return xhat
 
+    def _tables(self, shape: tuple) -> np.ndarray:
+        return self.engine._pooled("tables", shape, self.dtype)
+
+    def _acc(self, shape: tuple) -> np.ndarray:
+        return self.engine._pooled("acc", shape, self.dtype)
+
     def run(
         self, arr: np.ndarray, y_dest: np.ndarray | None = None
     ) -> np.ndarray:
@@ -191,7 +181,7 @@ class _Trace:
         *y_dest*, when given, receives the pre-activation result
         directly (it must be ``(m, batch)`` in the trace dtype and must
         not alias *arr* -- the caller guarantees both); otherwise the
-        resident ``y`` buffer is used.  Bias, when fused, is folded in;
+        pooled ``y`` buffer is used.  Bias, when fused, is folded in;
         the activation epilogue is the engine's job (it may change
         dtype).
         """
@@ -199,18 +189,60 @@ class _Trace:
             xhat = arr.reshape(self.groups, self.mu, self.batch)
         else:
             xhat = self._xhat_for(arr)
-        y = self.y if y_dest is None else y_dest
+        y = (
+            self.engine._pooled("y", (self.m, self.batch), self.dtype)
+            if y_dest is None
+            else y_dest
+        )
         y[...] = 0
+        kern = (
+            native.kernel_for(self.dtype, self.mu)
+            if y.flags.c_contiguous
+            else None
+        )
+        if kern is not None:
+            self.engine._inner._run_native(
+                kern, y, xhat, self.tile_g, self._tables, self._acc
+            )
+        else:
+            self._run_numpy(xhat, y)
+        bias_col = self.engine._bias_col(self.dtype)
+        if bias_col is not None:
+            y += bias_col
+        return y
+
+    def _numpy_plan(self) -> tuple:
+        """``(plan, gathers, accumulators)`` for the numpy query."""
+        if self._numpy_bufs is None:
+            plan = self.engine._plan_for(self.dtype)
+            flat_gather = self.batch <= self._FLAT_GATHER_MAX_BATCH
+            b = self.batch
+            gath: dict = {}
+            acc: dict = {}
+            for _, g_len, row_tiles in plan["group_tiles"]:
+                for _, rows, _, _ in row_tiles:
+                    gkey = (g_len, rows) if flat_gather else rows
+                    if gkey not in gath:
+                        shape = (g_len, rows, b) if flat_gather else (rows, b)
+                        gath[gkey] = np.empty(shape, self.dtype)
+                    if rows not in acc:
+                        acc[rows] = np.empty((rows, b), self.dtype)
+            self._numpy_bufs = (plan, gath, acc)
+        return self._numpy_bufs
+
+    def _run_numpy(self, xhat: np.ndarray, y: np.ndarray) -> None:
+        plan, gaths, accs = self._numpy_plan()
         bits = self.bits
-        keys_gt = self.keys_by_group
-        for g_sl, g_len, row_tiles in self.group_tiles:
-            tbl = self.tables[g_len]
+        keys_gt = plan["keys_by_group"]
+        flat_gather = self.batch <= self._FLAT_GATHER_MAX_BATCH
+        for g_sl, g_len, row_tiles in plan["group_tiles"]:
+            tbl = self._tables((g_len, self.two_mu, self.batch))
             build_tables_dp(xhat[g_sl], out=tbl)
-            if self.flat_gather:
+            if flat_gather:
                 flat = tbl.reshape(g_len * self.two_mu, self.batch)
                 for r_sl, rows, idx_t_bits, alpha_bits in row_tiles:
-                    gath = self.gath[(g_len, rows)]
-                    acc = self.acc[rows]
+                    gath = gaths[(g_len, rows)]
+                    acc = accs[rows]
                     for i in range(bits):
                         # mode="clip" never clips (indices are in range
                         # by construction); it skips the bounds-check
@@ -229,8 +261,8 @@ class _Trace:
             else:
                 g0 = g_sl.start
                 for r_sl, rows, _, alpha_bits in row_tiles:
-                    gath = self.gath[rows]
-                    acc = self.acc[rows]
+                    gath = gaths[rows]
+                    acc = accs[rows]
                     for i in range(bits):
                         acc[...] = 0
                         for gi in range(g_len):
@@ -244,10 +276,6 @@ class _Trace:
                             np.add(acc, gath, out=acc)
                         np.multiply(acc, alpha_bits[i], out=acc)
                         y[r_sl] += acc
-        bias_col = self.engine._bias_col(self.dtype)
-        if bias_col is not None:
-            y += bias_col
-        return y
 
 
 class CompiledKernelEngine:
@@ -275,6 +303,13 @@ class CompiledKernelEngine:
 
     backend_name = "compiled"
     """Registry key of this engine in :mod:`repro.engine`."""
+
+    batch_invariant = True
+    """Every output column is bit-identical however many columns share
+    the call: the native and both numpy gather layouts fold groups in
+    the reference order, the fallback is the batch-invariant inner
+    kernel, and the epilogue is elementwise.  Batch-invariant layers
+    therefore run it batched instead of one column per call."""
 
     accepts_profiler = True
     """``matmul`` forwards ``profiler=`` to the inner kernel.  Any
@@ -316,6 +351,7 @@ class CompiledKernelEngine:
         self.activation = activation
         self._plans: dict[str, dict] = {}
         self._traces: dict[tuple[str, int], _Trace] = {}
+        self._pool: dict[tuple[str, str], np.ndarray] = {}
         self._bias_cols: dict[str, np.ndarray] = {}
         # One runner at a time owns the resident buffers; a concurrent
         # call on a shared engine takes the (bit-identical) fallback
@@ -465,7 +501,20 @@ class CompiledKernelEngine:
     def trace_nbytes(self) -> int:
         """Resident trace buffer bytes (observability)."""
         with self._run_lock:
-            return sum(t.nbytes for t in self._traces.values())
+            return sum(t.nbytes for t in self._traces.values()) + sum(
+                a.nbytes for a in self._pool.values()
+            )
+
+    def _pooled(self, tag: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """A *shape* view of the engine-wide *tag* buffer, grown on
+        demand.  Only the holder of ``_run_lock`` (the one running
+        trace) may call this or use the view."""
+        size = math.prod(shape)
+        key = (tag, dtype.str)
+        buf = self._pool.get(key)
+        if buf is None or buf.size < size:
+            buf = self._pool[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
     # ------------------------------------------------------------------
     # multiplication

@@ -6,7 +6,7 @@ Each ``estimate_*`` function prices one ``(m, n) @ (n, b)`` multiply on a
     time = max(compute_seconds, memory_seconds) + overhead_seconds
 
 with engine-specific compute/traffic terms.  The model is the substitute
-instrument for the paper's physical testbeds (see DESIGN.md Section 2):
+instrument for the paper's physical testbeds, which are not available:
 it regenerates the *shape* of Table IV and Fig. 10 -- who wins, by
 roughly what factor, and where the batch-size crossovers fall.  The
 calibration constants live in :class:`~repro.hw.machine.CostTuning`.

@@ -11,7 +11,7 @@ batch while each decode step is GEMV-like, and every projection picks
 its engine per observed batch through the shared plan cache.
 (Weights here are random; the point is the runnable system and the
 float-vs-quantized output comparison, not trained translation quality --
-see DESIGN.md Section 2 on the BLEU substitution.)
+see :mod:`repro.train` on the BLEU substitution.)
 """
 
 from __future__ import annotations

@@ -559,6 +559,15 @@ def _default_collectors(registry: MetricsRegistry) -> None:
                 backend=backend,
             ).set(count)
 
+    def native_kernel(reg: MetricsRegistry) -> None:
+        from repro.core.native import status
+
+        reg.gauge(
+            "repro_native_kernel_available",
+            "1 when the native C BiQGEMM kernel serves, 0 on the numpy "
+            "fallback",
+        ).set(1.0 if status()["available"] else 0.0)
+
     def workspaces(reg: MetricsRegistry) -> None:
         from repro.core.workspace import aggregate_stats
 
@@ -605,7 +614,14 @@ def _default_collectors(registry: MetricsRegistry) -> None:
             "(engine, shape-bucket) keys with drift data",
         ).set(len(get_recorder()))
 
-    for fn in (plan_cache, engine_builds, workspaces, tracing, drift):
+    for fn in (
+        plan_cache,
+        engine_builds,
+        native_kernel,
+        workspaces,
+        tracing,
+        drift,
+    ):
         registry.register_collector(fn)
 
 
@@ -615,8 +631,8 @@ _DEFAULT_LOCK = threading.Lock()
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry (created on first use), with
-    the plan-cache / engine-build / workspace / tracing / drift
-    collectors pre-wired."""
+    the plan-cache / engine-build / native-kernel / workspace / tracing
+    / drift collectors pre-wired."""
     global _DEFAULT
     if _DEFAULT is None:
         with _DEFAULT_LOCK:

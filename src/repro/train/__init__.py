@@ -2,7 +2,7 @@
 
 The paper's Table I reports BLEU of a WMT'13 En-De Transformer after
 weight quantization -- not reproducible offline.  The substitution
-(DESIGN.md Section 2) trains a small teacher-student classifier in pure
+trains a small teacher-student classifier in pure
 numpy and measures test accuracy after post-training quantization of the
 student's weights at 1-8 bits under BCQ (greedy / alternating) and
 uniform schemes.  The *shape* to reproduce: >=3-bit BCQ is nearly

@@ -1,7 +1,7 @@
 """Table I proxy experiments: quantization quality versus bit width.
 
 Two complementary measurements (both substitutions for the paper's
-WMT'13 BLEU, documented in DESIGN.md Section 2):
+WMT'13 BLEU, documented in :mod:`repro.train`):
 
 :func:`weight_sqnr_sweep`
     Reconstruction SQNR of BCQ (greedy / alternating) and uniform

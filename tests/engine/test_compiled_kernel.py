@@ -251,3 +251,34 @@ class TestMetadata:
         inner = BiQGemm.from_bcq(bcq_quantize(weight, BITS), mu=MU)
         with pytest.raises(ValueError, match="bias"):
             CompiledKernelEngine(inner, bias=np.zeros(M + 1))
+
+
+class TestBatchInvariantLayer:
+    @pytest.mark.parametrize("activation", [None, "gelu"])
+    def test_prompt_runs_in_one_call_with_column_bits(
+        self, weight, bias, activation, rng, monkeypatch
+    ):
+        # The engine is batch-invariant by construction, so a
+        # batch-invariant layer runs a whole prompt in one engine call
+        # instead of one call per column -- with the same bits.
+        from repro.nn.linear import QuantLinear
+
+        spec = QuantSpec(bits=BITS, mu=MU, backend="compiled", fuse=activation)
+        layer = QuantLinear(weight, bias, spec=spec)
+        layer.set_batch_invariant(True)
+        engine = layer.engine_for(1)
+        assert isinstance(engine, CompiledKernelEngine)
+        assert engine.batch_invariant
+        calls = []
+        real = engine.matmul
+
+        def counting(x, **kwargs):
+            calls.append(np.shape(x))
+            return real(x, **kwargs)
+
+        monkeypatch.setattr(engine, "matmul", counting)
+        x = rng.standard_normal((64, N))
+        prompt = layer(x)
+        assert calls == [(N, 64)]
+        columns = np.concatenate([layer(x[i : i + 1]) for i in range(64)])
+        assert np.array_equal(prompt, columns)

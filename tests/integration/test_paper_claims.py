@@ -2,7 +2,7 @@
 
 Each test cites the paper statement it verifies.  These run on the real
 kernels and the calibrated cost model together, closing the loop between
-DESIGN.md's experiment index and the implementation.
+the experiment index (``repro.bench.registry``) and the implementation.
 """
 
 import numpy as np
