@@ -1,4 +1,5 @@
-"""Native C kernel for the batch-invariant BiQGEMM build + query.
+"""Native C kernel for the batch-invariant BiQGEMM build + query and
+the attention folds.
 
 The numpy kernel in :mod:`repro.core.kernel` orchestrates one ufunc
 call per group (or per tile) and cannot show the paper's point -- that
@@ -31,6 +32,12 @@ Bit-identity contract
     contiguous column rows accumulate, so a tile's full tables never
     exist.  A table entry's operations do not depend on which columns
     are built with it.
+
+    The attention folds (:class:`FoldKernel`, float64) likewise give
+    each score and context element numpy's fold: the first product,
+    then ``acc = acc + a[j] * b[j]`` along the contraction axis (the
+    last element of ``cumsum``), vectorized only across independent
+    outputs with GNU C vector types.
 
     The flags never include ``-ffast-math`` (which reassociates sums)
     or ``-march=native`` (which would let the compiler contract
@@ -67,7 +74,14 @@ import threading
 
 import numpy as np
 
-__all__ = ["NativeKernel", "NativeWeights", "kernel_for", "status"]
+__all__ = [
+    "FoldKernel",
+    "NativeKernel",
+    "NativeWeights",
+    "fold_kernel",
+    "kernel_for",
+    "status",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -315,6 +329,7 @@ _PRELUDE = r"""
 #define _POSIX_C_SOURCE 199309L
 #include <float.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -341,11 +356,175 @@ _TYPES = {
     np.dtype(np.float64): ("double", "f64"),
 }
 
-SOURCE = _PRELUDE + "".join(
-    _SOURCE_TEMPLATE.replace("REAL", real).replace("SUFFIX", suffix)
-    for real, suffix in _TYPES.values()
+_FOLD_SOURCE = r"""
+/* Attention folds, float64.  Each output element is one strict left
+   fold along the contraction axis -- exactly numpy's
+   cumsum(a * b)[-1]: acc = a[0] * b[0], then acc = acc + a[j] * b[j].
+   (Seeding with the first product, not 0.0, keeps a -0.0 sum -0.0.)
+   The blocks only interleave independent outputs: R <= 2 query rows by
+   FOLD_J kv positions for scores, R rows by FOLD_C head_dim columns for
+   the context, two lanes per GNU C vector.  Operands are (n0, n1, rows,
+   cols) with element strides s0, s1 (0 broadcasts), a row stride and a
+   unit last axis; out is contiguous. */
+
+#define FOLD_J 8
+#define FOLD_C 8
+
+typedef double v2d __attribute__((vector_size(16)));
+
+static INLINE v2d load2(const double *p)
+{
+    v2d r;
+    memcpy(&r, p, sizeof r);
+    return r;
+}
+
+/* R query rows (row stride qr) against one block of FOLD_J keys,
+   transposed into kt[c * FOLD_J + j]; jb of them are real, the zero
+   pad lanes are discarded. */
+static INLINE void score_rows(const double *restrict q, int64_t qr,
+                              const double *restrict kt, int64_t d,
+                              double *restrict out, int64_t skv,
+                              int64_t jb, const int64_t R)
+{
+    v2d acc[2][FOLD_J / 2];
+    for (int64_t r = 0; r < R; r++) {
+        const v2d qc = {q[r * qr], q[r * qr]};
+        for (int64_t j = 0; j < FOLD_J / 2; j++)
+            acc[r][j] = qc * load2(kt + 2 * j);
+    }
+    for (int64_t c = 1; c < d; c++) {
+        v2d kc[FOLD_J / 2];
+        for (int64_t j = 0; j < FOLD_J / 2; j++)
+            kc[j] = load2(kt + c * FOLD_J + 2 * j);
+        for (int64_t r = 0; r < R; r++) {
+            const v2d qc = {q[r * qr + c], q[r * qr + c]};
+            for (int64_t j = 0; j < FOLD_J / 2; j++)
+                acc[r][j] = acc[r][j] + qc * kc[j];
+        }
+    }
+    for (int64_t r = 0; r < R; r++) {
+        double row[FOLD_J];
+        memcpy(row, acc[r], sizeof row);
+        memcpy(out + r * skv, row, (size_t)jb * sizeof(double));
+    }
+}
+
+/* out (n0, n1, sq, skv) = q (.., sq, d) . k (.., skv, d)^T.  Returns
+   -1 when the d * FOLD_J scratch cannot be allocated, else 0. */
+int attn_scores_f64(const double *q, int64_t q0, int64_t q1, int64_t qr,
+                    const double *k, int64_t k0, int64_t k1, int64_t kr,
+                    double *out, int64_t n0, int64_t n1, int64_t sq,
+                    int64_t skv, int64_t d)
+{
+    double *restrict kt = malloc((size_t)(d * FOLD_J) * sizeof(double));
+    if (kt == NULL)
+        return -1;
+    for (int64_t a = 0; a < n0; a++)
+        for (int64_t b = 0; b < n1; b++) {
+            const double *qa = q + a * q0 + b * q1;
+            const double *ka = k + a * k0 + b * k1;
+            double *o = out + (a * n1 + b) * sq * skv;
+            for (int64_t j0 = 0; j0 < skv; j0 += FOLD_J) {
+                const int64_t jb = j0 + FOLD_J < skv ? FOLD_J : skv - j0;
+                for (int64_t j = 0; j < jb; j++)
+                    for (int64_t c = 0; c < d; c++)
+                        kt[c * FOLD_J + j] = ka[(j0 + j) * kr + c];
+                for (int64_t j = jb; j < FOLD_J; j++)
+                    for (int64_t c = 0; c < d; c++)
+                        kt[c * FOLD_J + j] = 0.0;
+                int64_t i = 0;
+                for (; i + 2 <= sq; i += 2)
+                    score_rows(qa + i * qr, qr, kt, d, o + i * skv + j0,
+                               skv, jb, 2);
+                if (i < sq)
+                    score_rows(qa + i * qr, qr, kt, d, o + i * skv + j0,
+                               skv, jb, 1);
+            }
+        }
+    free(kt);
+    return 0;
+}
+
+/* R probability rows (row stride pr) against FOLD_C value columns
+   (row stride vr). */
+static INLINE void context_rows(const double *restrict p, int64_t pr,
+                                const double *restrict v, int64_t vr,
+                                int64_t skv, double *restrict out,
+                                int64_t d, const int64_t R)
+{
+    v2d acc[2][FOLD_C / 2];
+    for (int64_t r = 0; r < R; r++) {
+        const v2d w = {p[r * pr], p[r * pr]};
+        for (int64_t c = 0; c < FOLD_C / 2; c++)
+            acc[r][c] = w * load2(v + 2 * c);
+    }
+    for (int64_t j = 1; j < skv; j++) {
+        v2d vj[FOLD_C / 2];
+        for (int64_t c = 0; c < FOLD_C / 2; c++)
+            vj[c] = load2(v + j * vr + 2 * c);
+        for (int64_t r = 0; r < R; r++) {
+            const v2d w = {p[r * pr + j], p[r * pr + j]};
+            for (int64_t c = 0; c < FOLD_C / 2; c++)
+                acc[r][c] = acc[r][c] + w * vj[c];
+        }
+    }
+    for (int64_t r = 0; r < R; r++)
+        memcpy(out + r * d, acc[r], sizeof acc[r]);
+}
+
+/* One probability row against the cols < FOLD_C columns left over. */
+static void context_tail(const double *restrict p,
+                         const double *restrict v, int64_t vr,
+                         int64_t skv, double *restrict out, int64_t cols)
+{
+    for (int64_t c = 0; c < cols; c++) {
+        double acc = p[0] * v[c];
+        for (int64_t j = 1; j < skv; j++)
+            acc = acc + p[j] * v[j * vr + c];
+        out[c] = acc;
+    }
+}
+
+/* out (n0, n1, sq, d) = p (.., sq, skv) . v (.., skv, d). */
+void attn_context_f64(const double *p, int64_t p0, int64_t p1, int64_t pr,
+                      const double *v, int64_t v0, int64_t v1, int64_t vr,
+                      double *out, int64_t n0, int64_t n1, int64_t sq,
+                      int64_t skv, int64_t d)
+{
+    const int64_t dc = d - d % FOLD_C;
+    for (int64_t a = 0; a < n0; a++)
+        for (int64_t b = 0; b < n1; b++) {
+            const double *pa = p + a * p0 + b * p1;
+            const double *va = v + a * v0 + b * v1;
+            double *o = out + (a * n1 + b) * sq * d;
+            for (int64_t c = 0; c < dc; c += FOLD_C) {
+                int64_t i = 0;
+                for (; i + 2 <= sq; i += 2)
+                    context_rows(pa + i * pr, pr, va + c, vr, skv,
+                                 o + i * d + c, d, 2);
+                if (i < sq)
+                    context_rows(pa + i * pr, pr, va + c, vr, skv,
+                                 o + i * d + c, d, 1);
+            }
+            if (dc < d)
+                for (int64_t i = 0; i < sq; i++)
+                    context_tail(pa + i * pr, va + dc, vr, skv,
+                                 o + i * d + dc, d - dc);
+        }
+}
+"""
+
+SOURCE = (
+    _PRELUDE
+    + "".join(
+        _SOURCE_TEMPLATE.replace("REAL", real).replace("SUFFIX", suffix)
+        for real, suffix in _TYPES.values()
+    )
+    + _FOLD_SOURCE
 )
-"""The complete C translation unit (both real types)."""
+"""The complete C translation unit (both real types, plus the float64
+attention folds)."""
 
 
 def _ptr(arr: np.ndarray) -> int:
@@ -543,6 +722,113 @@ class NativeKernel:
         return build_ns.value * 1e-9
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _operand(arr: np.ndarray, lead: tuple) -> tuple:
+    """``(array, s0, s1, row)``: *arr* ``(*lead, rows, cols)`` (at
+    most two *lead* dims) read through element strides -- 0 for a
+    broadcast dim -- with a unit last axis.  Views that already have
+    that layout (``_split`` transposes, KV-cache capacity slices) are
+    read in place; others are copied."""
+    if arr.shape[:-2] != lead:
+        arr = np.broadcast_to(arr, lead + arr.shape[-2:])
+    strides = arr.strides
+    if (
+        not arr.flags.aligned
+        or (strides[-1] != 8 and arr.shape[-1] > 1)
+        or any(s % 8 for s in strides)
+    ):
+        arr = np.ascontiguousarray(arr)
+        strides = arr.strides
+    s0, s1, row = (
+        0 if n == 1 else s // 8
+        for n, s in zip((1, 1, *arr.shape)[-4:-1], (0, 0, *strides)[-4:-1])
+    )
+    return arr, s0, s1, row
+
+
+class FoldKernel:
+    """The float64 attention folds: ``q . k^T`` (:meth:`scores`) and
+    ``attn . v`` (:meth:`context`), each output element one strict left
+    fold in numpy's ``cumsum`` order (see ``_FOLD_SOURCE``).
+
+    Operands are float64 arrays ``(..., rows, cols)`` whose leading
+    dims broadcast; contractions are at least one element long.  The
+    result is written straight into *out* when it is a C-contiguous
+    float64 array of the result's shape that overlaps no operand, else
+    copied into it.  Every
+    call runs with the GIL released and holds one of the
+    :data:`MAX_CONCURRENT` slots.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        self._scores = lib.attn_scores_f64
+        self._context = lib.attn_context_f64
+        for fn in (self._scores, self._context):
+            fn.argtypes = [ptr, i64, i64, i64] * 2 + [ptr] + [i64] * 5
+        self._scores.restype = ctypes.c_int
+        self._context.restype = None
+
+    def scores(self, q: np.ndarray, k: np.ndarray, out=None) -> np.ndarray:
+        """``(..., seq_q, d) x (..., seq_kv, d) -> (..., seq_q,
+        seq_kv)``."""
+        sq, d = q.shape[-2:]
+        skv = k.shape[-2]
+        if k.shape[-1] != d or d < 1:
+            raise ValueError(f"cannot contract {q.shape} with {k.shape}")
+        return self._fold(self._scores, q, k, (sq, skv, d), skv, out)
+
+    def context(self, attn: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+        """``(..., seq_q, seq_kv) x (..., seq_kv, d) -> (..., seq_q,
+        d)``."""
+        sq, skv = attn.shape[-2:]
+        d = v.shape[-1]
+        if v.shape[-2] != skv or skv < 1:
+            raise ValueError(f"cannot contract {attn.shape} with {v.shape}")
+        return self._fold(self._context, attn, v, (sq, skv, d), d, out)
+
+    def _fold(self, fn, a, b, dims, cols, out):
+        if a.dtype != _F64 or b.dtype != _F64:
+            raise ValueError("the folds take float64 operands")
+        lead = a.shape[:-2]
+        if b.shape[:-2] != lead:
+            lead = np.broadcast_shapes(lead, b.shape[:-2])
+        shape = lead + (dims[0], cols)
+        direct = (
+            isinstance(out, np.ndarray)
+            and out.dtype == _F64
+            and out.shape == shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+            # The C code writes while it reads: never into an operand.
+            and not np.may_share_memory(out, a)
+            and not np.may_share_memory(out, b)
+        )
+        res = out if direct else np.empty(shape)
+        if len(lead) > 2:
+            # The attention layer passes at most two; fold each outer
+            # index of deeper operands on its own.
+            a = np.broadcast_to(a, lead + a.shape[-2:])
+            b = np.broadcast_to(b, lead + b.shape[-2:])
+            for idx in np.ndindex(lead[:-2]):
+                self._fold(fn, a[idx], b[idx], dims, cols, res[idx])
+        else:
+            a, a0, a1, ar = _operand(a, lead)
+            b, b0, b1, br = _operand(b, lead)
+            n0, n1 = ((1, 1) + lead)[-2:]
+            with _SLOTS:
+                failed = fn(_ptr(a), a0, a1, ar, _ptr(b), b0, b1, br,
+                            _ptr(res), n0, n1, *dims)
+            if failed:
+                raise MemoryError("attention fold scratch")
+        if out is None or direct:
+            return res
+        np.copyto(out, res)
+        return out
+
+
 def _cache_dirs() -> list[str]:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
@@ -601,6 +887,7 @@ class _Library:
         self._lock = threading.Lock()
         self._loaded = False
         self.kernels: dict[np.dtype, NativeKernel] = {}
+        self.folds: FoldKernel | None = None
         self.reason = ""
         self.path: str | None = None
 
@@ -616,7 +903,7 @@ class _Library:
                     RuntimeError,
                     subprocess.SubprocessError,
                 ) as exc:
-                    self.kernels = {}
+                    self.kernels, self.folds = {}, None
                     self.reason = f"{type(exc).__name__}: {exc}"
                     logger.warning(
                         "native BiQGEMM kernel unavailable, using the "
@@ -647,6 +934,7 @@ class _Library:
             self.reason = "compiled"
         lib = ctypes.CDLL(path)
         self.kernels = {dt: NativeKernel(lib, dt) for dt in _TYPES}
+        self.folds = FoldKernel(lib)
         self.path = path
 
 
@@ -661,8 +949,16 @@ def kernel_for(dtype, mu: int) -> NativeKernel | None:
     return _LIBRARY.load().kernels.get(np.dtype(dtype))
 
 
+def fold_kernel() -> FoldKernel | None:
+    """The float64 attention folds, or None when numpy must serve (no
+    compiler)."""
+    return _LIBRARY.load().folds
+
+
 def status() -> dict:
-    """Which path serves: ``{"available", "reason", "path"}``.
+    """Which path serves: ``{"available", "reason", "path"}``.  The LUT
+    kernel and the attention folds share one library, so both serve or
+    neither does.
 
     ``reason`` is ``"compiled"`` or ``"cached"`` when the library
     loaded, else the error that forced the numpy fallback.  The first

@@ -20,17 +20,26 @@ t)`` GEMV of the same row -- and einsum's iterator likewise regroups
 its SIMD partial sums as the surrounding (non-contracted!) dimensions
 change, so a one-query-row score product disagrees with the same row
 of the nine-row product in the last ulp.  Both products are therefore
-strict sequential left folds: an elementwise outer product followed by
-a running ``cumsum`` along the contraction axis, whose summation
-order per output element depends on nothing but the contraction
-length (fixed ``head_dim`` for scores; for the context product over
-the *variable* sequence axis, appending exactly-zero masked tails
-leaves every prefix total bit-identical).  Combined with the
-left-fold softmax (:func:`repro.nn.functional.softmax`) this makes a
-single-token :meth:`MultiHeadAttention.step` against a KV cache
-bit-identical to the corresponding row of the masked full-sequence
-recompute -- the invariant every engine's decode path is tested
-against.
+strict sequential left folds: per output element, ``acc = a[0] *
+b[0]``, then ``acc = acc + a[j] * b[j]`` along the contraction axis,
+an order that depends on nothing but the contraction length (fixed
+``head_dim`` for scores; for the context product over the *variable*
+sequence axis, appending exactly-zero masked tails leaves every prefix
+total bit-identical).  Combined with the left-fold softmax
+(:func:`repro.nn.functional.softmax`) this makes a single-token
+:meth:`MultiHeadAttention.step` against a KV cache bit-identical to
+the corresponding row of the masked full-sequence recompute -- the
+invariant every engine's decode path is tested against.
+
+Two implementations compute that fold.  For float64 operands, when the
+native library is loaded (:func:`repro.core.native.fold_kernel`), C
+code folds each element in exactly that order, vectorized only across
+independent outputs, reading strided views in place and keeping no
+temporary beyond the output.  Otherwise numpy spells it as an
+elementwise outer product followed by a running ``cumsum``, in chunks
+bounded by :data:`FOLD_BUDGET_ELEMS`; this fallback is also the test
+reference.  Both give the same bits (NaN payloads aside: which of two
+NaN operands propagates is fixed by neither).
 """
 
 from __future__ import annotations
@@ -38,18 +47,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import check_positive_int
+from repro.core.native import fold_kernel
 from repro.core.workspace import current_workspace
 from repro.nn.functional import softmax
 from repro.nn.linear import QuantSpec, make_linear, split_builder_spec
 
 __all__ = ["MultiHeadAttention", "attn_context", "attn_scores"]
 
-# Bound on the outer-product temporary the fold helpers materialize at
-# once, in elements (~32 MiB of float64).  The fold walks the
-# contraction axis in chunks of this budget, carrying the running sum
-# between chunks, so a 512-token prefill peaks at the budget instead of
-# the full (seq_q, seq_kv, head_dim) product (~8.6 GiB at seq=512,
-# heads=8, head_dim=64).  Chunking never changes bits: seeding a
+_F64 = np.dtype(np.float64)
+
+# Bound on the outer-product temporary the numpy fold materializes at
+# once, in elements (~32 MiB of float64); the native folds keep none.
+# The fold walks the contraction axis in chunks of this budget,
+# carrying the running sum between chunks, so a 512-token prefill
+# peaks at the budget instead of the full (seq_q, seq_kv, head_dim)
+# product (~8.6 GiB at seq=512, heads=8, head_dim=64).  Chunking never changes bits: seeding a
 # chunk's first element with the carry keeps every output element's
 # additions in exactly the unchunked left-fold order (and a decode
 # step's product fits in one chunk anyway).
@@ -67,11 +79,19 @@ def attn_scores(q: np.ndarray, k: np.ndarray, *, out=None) -> np.ndarray:
 
     Shapes ``(..., heads, seq_q, head_dim)`` x ``(..., heads, seq_kv,
     head_dim) -> (..., heads, seq_q, seq_kv)``; a strict sequential
-    left fold over ``head_dim``, computed in memory-bounded chunks (see
-    :data:`FOLD_BUDGET_ELEMS`), so every score is bit-identical
-    whatever the surrounding batch/sequence shape (see the module
-    docstring).
+    left fold over ``head_dim`` -- native for float64, else numpy in
+    memory-bounded chunks (see :data:`FOLD_BUDGET_ELEMS`) -- so every
+    score is bit-identical whatever the surrounding batch/sequence
+    shape (see the module docstring).
     """
+    kernel = fold_kernel()
+    if (
+        kernel is not None
+        and q.dtype == _F64
+        and k.dtype == _F64
+        and q.shape[-1] == k.shape[-1] > 0
+    ):
+        return kernel.scores(q, k, out=out)
     d = q.shape[-1]
     slice_shape = np.broadcast_shapes(
         q.shape[:-1] + (1,), k.shape[:-2] + (1,) + k.shape[-2:-1]
@@ -102,10 +122,19 @@ def attn_context(attn: np.ndarray, v: np.ndarray, *, out=None) -> np.ndarray:
     This contraction runs over the *variable* sequence axis -- the one
     that differs between a decode step (cache length ``t``) and the
     full recompute (final length ``T``).  Like :func:`attn_scores` it
-    is a strict sequential left fold over memory-bounded chunks, so
-    both chunk boundaries and appended masked positions (probability
-    exactly ``0.0``) leave every prefix total bit-identical.
+    is a strict sequential left fold (native for float64, else numpy
+    over memory-bounded chunks), so both chunk boundaries and appended
+    masked positions (probability exactly ``0.0``) leave every prefix
+    total bit-identical.
     """
+    kernel = fold_kernel()
+    if (
+        kernel is not None
+        and attn.dtype == _F64
+        and v.dtype == _F64
+        and attn.shape[-1] == v.shape[-2] > 0
+    ):
+        return kernel.context(attn, v, out=out)
     t = v.shape[-2]
     slice_shape = np.broadcast_shapes(
         attn.shape[:-1] + (1,), v.shape[:-2] + (1,) + v.shape[-1:]

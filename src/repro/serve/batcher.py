@@ -224,6 +224,12 @@ class Batcher:
         # time) so concurrent workers never assemble overlapping
         # batches; execution still overlaps freely outside the lock.
         self._coalescing = False
+        # The most requests that can be pending at once, when the
+        # producer knows it (the sequence scheduler: one per stream in
+        # its decode phase), else None.  Once that many are queued no
+        # companion can arrive, so coalescing stops without waiting out
+        # max_latency_ms.  Set through _set_expected.
+        self._expected: int | None = None
 
     # -- producer side -------------------------------------------------
     def enqueue(
@@ -300,13 +306,28 @@ class Batcher:
         that a lone request always waits for a second (otherwise bucket 1
         would disable coalescing entirely) -- capped at ``max_batch``.
         A count already on a boundary > 1 *is* the target: release now.
+        Never more than the producer says can be pending (see
+        :meth:`_set_expected`).
         """
-        if count >= self.max_batch:
-            return self.max_batch
-        for bucket in self.buckets:
-            if bucket >= count and not (bucket == 1 and count == 1):
-                return min(bucket if bucket > 1 else 2, self.max_batch)
-        return self.max_batch
+        target = self.max_batch
+        if count < self.max_batch:
+            for bucket in self.buckets:
+                if bucket >= count and not (bucket == 1 and count == 1):
+                    target = min(bucket if bucket > 1 else 2, self.max_batch)
+                    break
+        if self._expected is not None:
+            target = min(target, max(self._expected, 1))
+        return target
+
+    def _set_expected(self, count: int | None) -> None:
+        """Tell the coalescer that at most *count* requests can be
+        pending at once (None: unknown).  For a producer that knows
+        its population -- the sequence scheduler -- so a lone stream's
+        step does not wait ``max_latency_ms`` for a companion that
+        cannot exist."""
+        with self._cond:
+            self._expected = count
+            self._cond.notify_all()
 
     def _purge_cancelled(self) -> None:
         """Drop abandoned requests (holding the lock): their callers

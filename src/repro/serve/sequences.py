@@ -81,6 +81,7 @@ class GenerationStream:
         self.tokens: list[int] = []
         self.finish_reason: str | None = None
         self.retired = False  # decode worker skips retired sequences
+        self._decoding = False  # prefilled and not yet finished
         self._inflight = None
         self._last_token_time: float | None = None
         # Finish is claimed under a lock: the HTTP thread (close on
@@ -101,6 +102,8 @@ class GenerationStream:
             scheduler.telemetry.record_prefill(time.monotonic() - started)
             self._pending = self._sampler.sample(logits)
             self._last_token_time = time.monotonic()
+            scheduler._count_decoding(+1)
+            self._decoding = True
         except BaseException:
             self._finish("cancelled", record=False)
             scheduler._release(self)
@@ -166,6 +169,9 @@ class GenerationStream:
                 return
             self.finish_reason = reason
             self.retired = True
+            decoding, self._decoding = self._decoding, False
+        if decoding:
+            self._scheduler._count_decoding(-1)
         request, self._inflight = self._inflight, None
         if request is not None:
             request.cancel()
@@ -208,7 +214,9 @@ class SequenceScheduler:
     max_latency_ms:
         How long a tick waits to coalesce more sequences once one is
         ready (the decode analogue of the batcher's knob; keep small --
-        it bounds added inter-token latency).
+        it bounds added inter-token latency).  A tick never waits once
+        every stream in its decode phase has queued its step: a lone
+        stream runs without the wait.
     name:
         Label for the KV arena and worker thread.
     """
@@ -251,6 +259,10 @@ class SequenceScheduler:
         )
         self._lock = threading.Lock()
         self._active = 0
+        # Streams in their decode phase (prefilled, not finished): the
+        # only ones whose steps can join a tick.  A prefilling stream
+        # cannot, so a lone decoding stream's tick never waits for it.
+        self._decoding = 0
         self._closed = False
         self._worker: threading.Thread | None = None
 
@@ -382,6 +394,11 @@ class SequenceScheduler:
             ):
                 return self._compiled.model.prefill(ids, caches)
         return self._compiled.model.prefill(ids, caches)
+
+    def _count_decoding(self, delta: int) -> None:
+        with self._lock:
+            self._decoding += delta
+            self._batcher._set_expected(self._decoding)
 
     def _release(self, stream: GenerationStream) -> None:
         with self._lock:

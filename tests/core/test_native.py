@@ -299,7 +299,9 @@ class TestNativePath:
     def test_library_releases_the_gil(self):
         # ctypes.CDLL (unlike PyDLL) drops the GIL around every call.
         kern = native.kernel_for(np.float64, 8)
-        for fn in (kern._build, kern._query, kern._wide):
+        folds = native.fold_kernel()
+        for fn in (kern._build, kern._query, kern._wide, folds._scores,
+                   folds._context):
             assert not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
     def test_concurrent_calls_leave_a_cpu(self, rng, monkeypatch):

@@ -91,8 +91,15 @@ class TestFoldHelpers:
     materializes at once; it must never change bits, or a prefill
     (large product, chunked) would disagree with the decode step
     (small product, single chunk) it is supposed to be bit-identical
-    to.
+    to.  These tests pin the numpy fallback, which the budget governs
+    (the native folds keep no temporary; see TestNativeFolds).
     """
+
+    @pytest.fixture(autouse=True)
+    def _numpy_fold(self, monkeypatch):
+        import repro.nn.attention as attention
+
+        monkeypatch.setattr(attention, "fold_kernel", lambda: None)
 
     def _reference(self, q, k):
         # Single-chunk spelling: one outer product, one running cumsum.

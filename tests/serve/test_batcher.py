@@ -108,6 +108,47 @@ class TestCoalescing:
         batcher = Batcher()
         assert batcher.next_batch(timeout=0.01) is None
 
+    def test_known_population_caps_the_target(self):
+        """A producer that knows at most n requests can be pending (the
+        sequence scheduler's decoding streams) caps the target at n."""
+        batcher = Batcher(max_batch=8, max_latency_ms=10_000.0)
+        assert batcher._target(1) == 2 and batcher._target(3) == 4
+        batcher._set_expected(1)
+        assert batcher._target(1) == 1
+        batcher._set_expected(3)
+        assert batcher._target(1) == 2 and batcher._target(3) == 3
+        batcher._set_expected(None)
+        assert batcher._target(3) == 4
+
+    def test_lone_expected_request_serves_immediately(self):
+        batcher = Batcher(max_batch=8, max_latency_ms=10_000.0)
+        batcher._set_expected(1)
+        batcher.enqueue(_ones())
+        start = time.monotonic()
+        batch = batcher.next_batch(timeout=1.0)
+        assert len(batch) == 1
+        assert time.monotonic() - start < 0.5
+
+    def test_population_drop_releases_a_waiting_batch(self):
+        """The companion's stream finishes while the coalescer waits for
+        it: the lowered count wakes the wait."""
+        batcher = Batcher(max_batch=8, max_latency_ms=10_000.0)
+        batcher._set_expected(2)
+        batcher.enqueue(_ones())
+
+        def companion_leaves():
+            time.sleep(0.05)
+            batcher._set_expected(1)
+
+        thread = threading.Thread(target=companion_leaves)
+        thread.start()
+        start = time.monotonic()
+        batch = batcher.next_batch(timeout=1.0)
+        waited = time.monotonic() - start
+        thread.join()
+        assert len(batch) == 1
+        assert 0.03 <= waited < 2.0
+
 
 class TestShapeGrouping:
     def test_incompatible_shapes_do_not_coalesce(self):

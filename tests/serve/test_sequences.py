@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,50 @@ class TestContinuousBatching:
         assert telemetry.ticks < telemetry.tokens
         assert telemetry.coalescing_ratio > 1.0
         assert telemetry.tokens_per_s > 0
+
+    def test_lone_stream_does_not_wait_for_a_companion(self, compiled):
+        """One decoding stream: no other stream can join its tick, so a
+        step never sits out max_latency_ms."""
+        reference = compiled.generate(PROMPTS[0], 20)
+        sched = SequenceScheduler(
+            compiled, max_sequences=4, max_latency_ms=200.0, name="lone"
+        )
+        with sched:
+            started = time.monotonic()
+            tokens = list(sched.generate(PROMPTS[0], 20))
+            elapsed = time.monotonic() - started
+        assert tokens == reference
+        # 19 steps at 200 ms each would take 3.8 s.
+        assert elapsed < 0.2 * 19 / 4
+
+    def test_two_live_streams_still_coalesce(self, compiled):
+        references = [compiled.generate(p, 12) for p in PROMPTS[:2]]
+        telemetry = GenTelemetry()
+        sched = SequenceScheduler(
+            compiled,
+            max_sequences=4,
+            max_latency_ms=200.0,
+            name="pair",
+            telemetry=telemetry,
+        )
+        results: list = [None, None]
+        with sched:
+            streams = [sched.generate(p, 12) for p in PROMPTS[:2]]
+
+            def consume(i):
+                results[i] = list(streams[i])
+
+            threads = [
+                threading.Thread(target=consume, args=(i,)) for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert results == references
+        assert telemetry.tokens == 24
+        # Both streams decode throughout, so their steps share ticks.
+        assert telemetry.coalescing_ratio > 1.5
 
     def test_sequential_stream_matches_generate(self, compiled, scheduler):
         reference = compiled.generate(PROMPTS[0], 6)
